@@ -42,6 +42,9 @@
 #      of the parameterized TPC-H families hit the warm cache below 90% on
 #      any compiling back-end, or when pooled (hoisted) bodies regress
 #      inline-literal execution by more than 3% pooled geomean
+#  15. the benchmark's own tests (qcbench is a separate Go module, so step 3
+#      does not reach it): workload digest coverage, crash containment and
+#      the BENCHMARK.json <-> metric list agreement, in short mode
 #
 # The unchecked-conservation check (QIR marks must survive into every
 # back-end's machine code) runs inside step 5 as part of qverify.
@@ -118,5 +121,8 @@ go test -race -short ./internal/backend/conformance/ \
 
 echo "== qbench plan-cache gate (sf 0.05, >= 90% warm hits, <= 3% exec regression) =="
 go run ./cmd/qbench -sf 0.05 -runs 3 -cache-gate 0.9 cache >/dev/null
+
+echo "== qcbench tests (short) =="
+(cd qcbench && go test -short .)
 
 echo "== ci.sh: all checks passed =="

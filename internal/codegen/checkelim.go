@@ -38,9 +38,8 @@ type ElimStats struct {
 	// Findings holds the lint diagnostics the analysis produced as a side
 	// effect; generated code is expected to produce none.
 	Findings []sa.Finding
-	// MaxLive is the maximum register pressure over all functions.
-	MaxLive int
-	// AnalysisNs is wall time spent in the analysis and rewrite.
+	// AnalysisNs is wall time spent in the analysis and rewrite, including
+	// the hoisting pass's widened analyses that were reused as verdicts.
 	AnalysisNs int64
 }
 
@@ -117,30 +116,65 @@ func (c *Compiled) factsFor(fi int, regions []sa.Region, cat *rt.Catalog) *sa.Fa
 	return facts
 }
 
-// eliminateChecks runs the sa analysis over every generated function and
-// marks statically proven loads/stores with qir.MemUnchecked so that every
-// back-end (and the interpreter) lowers them without bounds or null checks.
-func (c *Compiled) eliminateChecks(cat *rt.Catalog) {
+// funcElim is one function's check-elimination verdict: the classified
+// memory accesses and lint findings of one sa analysis under the
+// eliminator's facts, and the wall time that analysis took.
+type funcElim struct {
+	accs     []sa.Access
+	findings []sa.Finding
+	ns       int64
+}
+
+// analyzeElim runs the sa analysis of f under facts and records its verdict.
+func analyzeElim(f *qir.Func, facts *sa.Facts) *funcElim {
+	start := time.Now()
+	a := sa.Analyze(f, facts)
+	fe := &funcElim{accs: a.Accesses(), findings: a.Lint()}
+	fe.ns = time.Since(start).Nanoseconds()
+	return fe
+}
+
+// safe counts the accesses the verdict proves safe.
+func (fe *funcElim) safe() int {
+	n := 0
+	for _, acc := range fe.accs {
+		if acc.Safe {
+			n++
+		}
+	}
+	return n
+}
+
+// eliminateChecks marks the statically proven loads/stores of every
+// generated function with qir.MemUnchecked so that every back-end (and the
+// interpreter) lowers them without bounds or null checks. reuse[fi], when
+// present, is a verdict the hoisting pass already computed for function fi
+// in its final form; every other function is analysed here.
+func (c *Compiled) eliminateChecks(cat *rt.Catalog, reuse []*funcElim) {
 	start := time.Now()
 	stats := ElimStats{Enabled: true, ByReason: map[string]int{}}
 	regions := moduleRegions(cat)
+	var reusedNs int64
 	for fi, f := range c.Module.Funcs {
-		a := sa.Analyze(f, c.factsFor(fi, regions, cat))
-		for _, acc := range a.Accesses() {
+		var fe *funcElim
+		if fi < len(reuse) && reuse[fi] != nil {
+			fe = reuse[fi]
+			reusedNs += fe.ns
+		} else {
+			fe = analyzeElim(f, c.factsFor(fi, regions, cat))
+		}
+		for _, acc := range fe.accs {
 			stats.MemOps++
 			if !acc.Safe {
 				continue
 			}
-			c.Module.Funcs[fi].Instrs[acc.V].SetUnchecked()
+			f.Instrs[acc.V].SetUnchecked()
 			stats.Unchecked++
 			stats.ByReason[acc.Reason]++
 		}
-		stats.Findings = append(stats.Findings, a.Lint()...)
-		if a.MaxLive > stats.MaxLive {
-			stats.MaxLive = a.MaxLive
-		}
+		stats.Findings = append(stats.Findings, fe.findings...)
 	}
-	stats.AnalysisNs = time.Since(start).Nanoseconds()
+	stats.AnalysisNs = time.Since(start).Nanoseconds() + reusedNs
 	c.Elim = stats
 
 	obsElimModules.Inc()

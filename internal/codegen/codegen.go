@@ -179,14 +179,15 @@ func CompileOpts(name string, root plan.Node, cat *rt.Catalog, opts Options) (*C
 		c.out.StateSize = 8
 	}
 	c.out.NumFuncs = len(c.mod.Funcs)
+	var reuse []*funcElim
 	if opts.Hoist {
 		// Hoisting runs before check elimination so the eliminator proves
 		// safety on the rewritten IR: every check it marks redundant is
 		// sound by construction under pooled constants.
-		c.hoistConstants(cat)
+		reuse = c.hoistConstants(cat)
 	}
 	if opts.Elim {
-		c.out.eliminateChecks(cat)
+		c.out.eliminateChecks(cat, reuse)
 	}
 	if err := c.mod.VerifyModule(); err != nil {
 		return nil, fmt.Errorf("codegen: generated invalid IR: %w", err)

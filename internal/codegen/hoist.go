@@ -48,7 +48,14 @@ type HoistStats struct {
 // widened to its type bounds (sa.Facts.WideConsts), and keeps the literal
 // inline when the eliminable set shrinks. The per-function decision tally
 // lands in qir.Prov (Hoisted/KeptInline) for qtrace attribution.
-func (c *Compiler) hoistConstants(cat *rt.Catalog) {
+//
+// It returns, per function index, the check-elimination verdicts the
+// classification already computed: when every candidate of a function went
+// to the pool, its all-widened analysis is a sound analysis of the
+// rewritten function, because a widened literal and an OpConstPool load
+// both evaluate to the type's load bounds (relocating the loads to the
+// entry block changes no value).
+func (c *Compiler) hoistConstants(cat *rt.Catalog) []*funcElim {
 	stats := HoistStats{Enabled: true}
 	defer func() {
 		stats.PoolSlots = len(c.mod.Pool)
@@ -59,8 +66,9 @@ func (c *Compiler) hoistConstants(cat *rt.Catalog) {
 		obsHoistSlots.Add(int64(stats.PoolSlots))
 	}()
 	if len(c.hoistCands) == 0 {
-		return
+		return nil
 	}
+	var reuse []*funcElim
 	regions := moduleRegions(cat)
 	for fi, f := range c.mod.Funcs {
 		cands := c.hoistCands[f]
@@ -69,66 +77,82 @@ func (c *Compiler) hoistConstants(cat *rt.Catalog) {
 		}
 		stats.Candidates += len(cands)
 		hoist := cands
+		var probe *funcElim
 		if c.opts.Elim {
-			hoist = c.classifyHoists(fi, f, cands, regions, cat)
+			hoist, probe = c.classifyHoists(fi, f, cands, regions, cat)
 		}
 		hoistSet := make(map[qir.Value]bool, len(hoist))
 		for _, v := range hoist {
 			hoistSet[v] = true
 		}
+		kept := 0
 		for _, v := range cands {
 			if hoistSet[v] && c.rewriteToPool(f, v) {
 				stats.Hoisted++
 				f.Prov.Hoisted++
 			} else {
+				kept++
 				stats.KeptInline++
 				f.Prov.KeptInline++
 			}
 		}
+		if probe != nil && kept == 0 {
+			if reuse == nil {
+				reuse = make([]*funcElim, len(c.mod.Funcs))
+			}
+			reuse[fi] = probe
+		}
 	}
+	return reuse
 }
 
 // classifyHoists partitions a function's candidates into hoistable ones,
 // returned, and range-load-bearing ones, omitted. Classification is by
 // hypothetical widening against the same facts the check eliminator will
-// use: first the whole candidate set at once (the common case — query
-// literals rarely feed safety proofs), then, on regression, greedily one
-// candidate at a time in emission order, keeping each hoist only if the
-// eliminable-check count stays at the all-inline baseline. The greedy order
-// makes the decision deterministic, which the cache keying relies on.
-func (c *Compiler) classifyHoists(fi int, f *qir.Func, cands []qir.Value, regions []sa.Region, cat *rt.Catalog) []qir.Value {
-	elimCount := func(wide map[qir.Value]bool) int {
+// use. It first analyses the function with the whole candidate set widened
+// at once (the common case — query literals rarely feed safety proofs).
+// When that probe proves every access safe, hoisting cannot lose a proof
+// and the all-inline baseline is never computed. Otherwise the baseline is
+// analysed, and on regression candidates are tried greedily one at a time
+// in emission order, each hoist kept only if the eliminable-check count
+// stays at the baseline. The greedy order makes the decision deterministic,
+// which the cache keying relies on.
+//
+// When every candidate is classified hoistable, the probe's verdict is
+// returned as well so the check eliminator can reuse it.
+func (c *Compiler) classifyHoists(fi int, f *qir.Func, cands []qir.Value, regions []sa.Region, cat *rt.Catalog) ([]qir.Value, *funcElim) {
+	// analyze runs one round: the eliminator's analysis of f with the
+	// literals in wide widened.
+	analyze := func(wide map[qir.Value]bool) *funcElim {
+		obsHoistRounds.Inc()
 		facts := c.out.factsFor(fi, regions, cat)
 		facts.WideConsts = wide
-		obsHoistRounds.Inc()
-		a := sa.Analyze(f, facts)
-		n := 0
-		for _, acc := range a.Accesses() {
-			if acc.Safe {
-				n++
-			}
-		}
-		return n
+		return analyzeElim(f, facts)
 	}
-	base := elimCount(nil)
 	all := make(map[qir.Value]bool, len(cands))
 	for _, v := range cands {
 		all[v] = true
 	}
-	if elimCount(all) == base {
-		return cands
+	probe := analyze(all)
+	wide := probe.safe()
+	if wide == len(probe.accs) {
+		return cands, probe
+	}
+	base := analyze(nil).safe()
+	if wide == base {
+		return cands, probe
 	}
 	cur := make(map[qir.Value]bool, len(cands))
 	var hoist []qir.Value
 	for _, v := range cands {
 		cur[v] = true
-		if elimCount(cur) < base {
+		if analyze(cur).safe() < base {
 			delete(cur, v)
 			continue
 		}
 		hoist = append(hoist, v)
 	}
-	return hoist
+	return hoist, nil
 }
 
 // rewriteToPool replaces literal instruction v with a constant-pool load,

@@ -142,11 +142,11 @@ type Analysis struct {
 	// (NoValue block for instructions not listed in any block).
 	posBlock []qir.BlockID
 	posIdx   []int32
-
-	// MaxLive is the maximum number of simultaneously live SSA values at
-	// any instruction boundary — the register-pressure statistic computed
-	// from per-instruction liveness.
-	MaxLive int
+	// Def-use chains in compressed form: the users of value v are
+	// userList[userStart[v]:userStart[v+1]]. Both fixpoint rounds share
+	// them.
+	userStart []int32
+	userList  []qir.Value
 }
 
 // Analyze runs the sparse conditional fixpoint over f under the given facts
@@ -160,6 +160,7 @@ func Analyze(f *qir.Func, facts *Facts) *Analysis {
 	}
 	a := &Analysis{F: f, Facts: facts, Dom: f.Dominators()}
 	a.buildPositions()
+	a.buildUsers()
 	// Two rounds in the e-SSA style: the first fixpoint is context-free
 	// (loop phis widen to infinity), the derived branch constraints then
 	// feed a second fixpoint whose operand reads are met with the
@@ -170,7 +171,6 @@ func Analyze(f *qir.Func, facts *Facts) *Analysis {
 	a.buildConstraints()
 	a.fixpoint()
 	a.buildConstraints()
-	a.MaxLive = f.MaxLiveValues(f.LivenessAnalysis())
 	return a
 }
 
@@ -189,27 +189,47 @@ func (a *Analysis) buildPositions() {
 	}
 }
 
-// fixpoint runs the global sparse worklist iteration with widening.
-func (a *Analysis) fixpoint() {
+// buildUsers builds the def-use chains: a counting pass sizes each value's
+// user list, a second pass fills them into one shared backing array.
+func (a *Analysis) buildUsers() {
 	f := a.F
 	n := len(f.Instrs)
-	a.vals = make([]absVal, n)
-	for i := range a.vals {
-		a.vals[i] = undefVal()
-	}
-
-	// Def-use chains.
-	users := make([][]qir.Value, n)
+	a.userStart = make([]int32, n+1)
 	var ops []qir.Value
 	for v := 0; v < n; v++ {
 		ops = f.Operands(qir.Value(v), ops[:0])
 		for _, u := range ops {
-			users[u] = append(users[u], qir.Value(v))
+			a.userStart[u+1]++
 		}
+	}
+	for v := 0; v < n; v++ {
+		a.userStart[v+1] += a.userStart[v]
+	}
+	a.userList = make([]qir.Value, a.userStart[n])
+	next := make([]int32, n)
+	copy(next, a.userStart[:n])
+	for v := 0; v < n; v++ {
+		ops = f.Operands(qir.Value(v), ops[:0])
+		for _, u := range ops {
+			a.userList[next[u]] = qir.Value(v)
+			next[u]++
+		}
+	}
+}
+
+// fixpoint runs the global sparse worklist iteration with widening.
+func (a *Analysis) fixpoint() {
+	f := a.F
+	n := len(f.Instrs)
+	if a.vals == nil {
+		a.vals = make([]absVal, n)
+	}
+	for i := range a.vals {
+		a.vals[i] = undefVal()
 	}
 
 	// Seed with every instruction of every reachable block, in RPO.
-	var work []qir.Value
+	work := make([]qir.Value, 0, n)
 	inWork := qir.NewBitSet(n)
 	push := func(v qir.Value) {
 		if !inWork.Get(v) {
@@ -242,7 +262,7 @@ func (a *Analysis) fixpoint() {
 			updates[v]++
 		}
 		a.vals[v] = nv
-		for _, u := range users[v] {
+		for _, u := range a.userList[a.userStart[v]:a.userStart[v+1]] {
 			if inWork.Get(u) {
 				continue
 			}
@@ -274,24 +294,24 @@ func (a *Analysis) consVal(b qir.BlockID, u qir.Value) absVal {
 // (the value flows along that edge); all other operands under the
 // constraints of v's own block.
 func (a *Analysis) evalAt(v qir.Value) absVal {
-	in := &a.F.Instrs[v]
+	if a.F.Instrs[v].Op != qir.OpPhi {
+		// eval applies v's PtrFact, if any, itself.
+		bb := a.posBlock[v]
+		return a.eval(v, func(u qir.Value) absVal { return a.consVal(bb, u) })
+	}
 	if ft, ok := a.Facts.valFact(v); ok {
 		return a.factVal(v, ft)
 	}
-	if in.Op == qir.OpPhi {
-		pairs := a.F.PhiPairs(v)
-		out := undefVal()
-		for i := 0; i < len(pairs); i += 2 {
-			pred := qir.BlockID(pairs[i])
-			if a.Dom.Num[pred] < 0 {
-				continue // value from an unreachable predecessor never flows
-			}
-			out = out.join(a.consVal(pred, pairs[i+1]))
+	pairs := a.F.PhiPairs(v)
+	out := undefVal()
+	for i := 0; i < len(pairs); i += 2 {
+		pred := qir.BlockID(pairs[i])
+		if a.Dom.Num[pred] < 0 {
+			continue // value from an unreachable predecessor never flows
 		}
-		return out
+		out = out.join(a.consVal(pred, pairs[i+1]))
 	}
-	bb := a.posBlock[v]
-	return a.eval(v, func(u qir.Value) absVal { return a.consVal(bb, u) })
+	return out
 }
 
 // widen blows unstable bounds of the new value out to infinity so loops
@@ -1026,10 +1046,15 @@ func (a *Analysis) Derivation(v qir.Value) (anchor qir.Value, off Interval, ok b
 // AccessSafe reports whether a size-byte access through addr, executed in
 // block b, is statically proven in-bounds. reason describes the proof.
 func (a *Analysis) AccessSafe(b qir.BlockID, addr qir.Value, size int64) (bool, string) {
+	return a.accessSafe(b, a.valAt(b, addr, maxRefineDepth), size)
+}
+
+// accessSafe is AccessSafe for an address whose contextual value av in
+// block b is already computed.
+func (a *Analysis) accessSafe(b qir.BlockID, av absVal, size int64) (bool, string) {
 	if size <= 0 {
 		return false, ""
 	}
-	av := a.valAt(b, addr, maxRefineDepth)
 	if av.anchor != qir.NoValue {
 		if lo, hi, ok := a.anchorRegion(av.anchor); ok &&
 			av.off.Lo >= lo && av.off.Hi != PosInf && av.off.Hi <= hi-size &&
@@ -1118,8 +1143,8 @@ func (a *Analysis) Accesses() []Access {
 			} else {
 				acc.Size = in.Type.Size()
 			}
-			acc.Safe, acc.Reason = a.AccessSafe(b, in.A, acc.Size)
 			av := a.valAt(b, in.A, maxRefineDepth)
+			acc.Safe, acc.Reason = a.accessSafe(b, av, acc.Size)
 			k := key{anchor: qir.NoValue, base: int64(in.A), kind: 2}
 			invariant := false
 			if av.anchor != qir.NoValue && av.off.IsPoint() {

@@ -195,6 +195,11 @@ func (p *parser) selectStmt() (plan.Node, error) {
 			p.next() // '('
 			it.agg = &fn
 			if p.peek().text == "*" {
+				// Only COUNT is defined over whole rows; the other
+				// aggregates need an argument to type their result.
+				if fn != plan.AggCount {
+					return nil, fmt.Errorf("sql: %s(*) is not supported; only COUNT takes *", strings.ToUpper(t.text))
+				}
 				p.next()
 			} else {
 				e, err := p.parseExprDeferred()

@@ -145,6 +145,26 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseStarAggregate pins that only COUNT accepts *: the other
+// aggregates have no argument to type their result and must be rejected
+// with an error rather than crash while the plan schema is built.
+func TestParseStarAggregate(t *testing.T) {
+	cat := testCatalog(t)
+	for _, bad := range []string{
+		"SELECT 1, SUM(*) FROM t",
+		"SELECT AVG(*) FROM t",
+		"SELECT b, MIN(*) FROM t GROUP BY b",
+		"SELECT max(*) FROM t",
+	} {
+		if _, err := Parse(bad, cat); err == nil || !strings.Contains(err.Error(), "only COUNT takes *") {
+			t.Errorf("%q: err = %v, want the COUNT-only error", bad, err)
+		}
+	}
+	if _, err := Parse("SELECT COUNT(*) FROM t", cat); err != nil {
+		t.Errorf("COUNT(*) rejected: %v", err)
+	}
+}
+
 func TestParseAmbiguousColumn(t *testing.T) {
 	// Column a exists in both t and u: unqualified reference after a join
 	// must fail, qualified must work.

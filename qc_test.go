@@ -158,6 +158,37 @@ func TestSQLErrors(t *testing.T) {
 	}
 }
 
+// TestExecStarAggregateIsError: an aggregate other than COUNT over * used to
+// crash the parser (nil argument type) inside Exec; it must come back as an
+// error.
+func TestExecStarAggregateIsError(t *testing.T) {
+	db := openSmall(t)
+	loadProducts(t, db)
+	for _, bad := range []string{
+		"select 1,sum(*) from products",
+		"SELECT AVG(*) FROM products",
+		"SELECT name, MAX(*) FROM products GROUP BY name",
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%q: Exec panicked: %v", bad, r)
+				}
+			}()
+			if _, err := db.Exec(bad); err == nil {
+				t.Errorf("no error for %q", bad)
+			}
+		}()
+	}
+	res, err := db.Exec("SELECT COUNT(*) FROM products")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"4"}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("COUNT(*) rows = %v, want %v", res.Rows, want)
+	}
+}
+
 func TestLoadWorkloads(t *testing.T) {
 	db := openSmall(t)
 	if err := db.LoadTPCH(0.01); err != nil {
