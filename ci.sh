@@ -4,7 +4,9 @@
 #   2. full build
 #   3. tests under the race detector (exercises the concurrent obs counters
 #      and the parallel compilation driver's worker pool)
-#   4. a smoke run of the benchmark harness emitting the stable JSON report
+#   4. a smoke run of the benchmark harness emitting the stable JSON report,
+#      once sequentially and once through the batch/parallel suite path
+#      (-exec-jobs 2: batch kernels, morsel workers, hoisted constants)
 #   5. the verification stack (qir verifier, regalloc checker, machine lint,
 #      cross-backend differential) over the TPC-H suite on both targets —
 #      once sequentially per arch, once through the parallel driver (-jobs 4)
@@ -71,6 +73,9 @@ trap 'rm -f "$tmp"' EXIT
 go run ./cmd/qbench -sf 0.01 -json "$tmp"
 grep -q '"schema": "qcc.obs.report/v2"' "$tmp"
 echo "report OK: $tmp"
+go run ./cmd/qbench -sf 0.01 -exec-jobs 2 -json "$tmp"
+grep -q '"schema": "qcc.obs.report/v2"' "$tmp"
+echo "report OK (-exec-jobs 2): $tmp"
 
 echo "== qbench smoke (-sf 0.01 -nofuse) =="
 go run ./cmd/qbench -sf 0.01 -nofuse table3

@@ -72,7 +72,8 @@ import (
 )
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
+	arch := vt.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	sf := flag.Float64("sf", 0.05, "scale factor")
 	runs := flag.Int("runs", 1, "execution repetitions (best-of)")
 	mem := flag.Int("mem", 1024, "VM memory in MiB")
@@ -114,15 +115,7 @@ func main() {
 	if *noBatch {
 		cfg.Batch = false
 	}
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *archFlag)
-		os.Exit(2)
-	}
+	cfg.Arch = arch
 
 	if *jsonOut != "" {
 		// Open the destination before the (long) benchmark run so a bad

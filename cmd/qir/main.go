@@ -38,10 +38,14 @@ func main() {
 	db := rt.NewDB(m)
 	cat := rt.NewCatalog(db)
 	var err error
-	if *workload == "tpcds" {
-		err = tpcds.Load(cat, *sf)
-	} else {
+	switch *workload {
+	case "tpch":
 		err = tpch.Load(cat, *sf)
+	case "tpcds":
+		err = tpcds.Load(cat, *sf)
+	default:
+		fmt.Fprintf(os.Stderr, "qir: unknown workload %q (want tpch or tpcds)\n", *workload)
+		os.Exit(2)
 	}
 	if err != nil {
 		fatal(err)

@@ -70,7 +70,8 @@ type report struct {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
+	arch := vt.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	workload := flag.String("workload", "tpch", "workload (tpch, tpcds, or all)")
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	mem := flag.Int("mem", 512, "VM memory in MiB")
@@ -81,14 +82,7 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.SF = *sf
 	cfg.MemMB = *mem
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
-	}
+	cfg.Arch = arch
 
 	var workloads []string
 	switch *workload {

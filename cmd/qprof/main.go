@@ -48,7 +48,8 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
+	arch := vt.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
 	query := flag.String("query", "", "profile only this query (default: all queries of the workload)")
 	engine := flag.String("engine", "", "engine name or substring; default: first compiling engine of the arch")
@@ -114,14 +115,7 @@ func main() {
 	cfg.Check = *check
 	cfg.Jobs = *jobs
 	cfg.NoFuse = *noFuse
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
-	}
+	cfg.Arch = arch
 
 	var queries []bench.Query
 	switch *workload {

@@ -33,7 +33,8 @@ func main() {
 	engine := flag.String("engine", "adaptive", "execution back-end: "+strings.Join(qc.Engines(), ", "))
 	workload := flag.String("workload", "tpch", "preloaded schema: tpch or tpcds")
 	sf := flag.Float64("sf", 0.05, "scale factor")
-	archFlag := flag.String("arch", "vx64", "target architecture")
+	arch := qc.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	mem := flag.Int("mem", 512, "VM memory in MiB")
 	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
 	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers (1 = sequential)")
@@ -54,10 +55,6 @@ func main() {
 		batch = false
 	}
 
-	arch := qc.VX64
-	if *archFlag == "va64" {
-		arch = qc.VA64
-	}
 	db, err := qc.Open(qc.WithArch(arch), qc.WithMemoryMB(*mem), qc.WithEngine(*engine),
 		qc.WithFusion(!*noFuse), qc.WithExecJobs(*execJobs), qc.WithBatch(batch),
 		qc.WithCacheMB(*cacheMB))

@@ -40,7 +40,8 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
+	arch := vt.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
 	query := flag.String("query", "", "trace only this query (default: all queries of the workload)")
 	engine := flag.String("engine", "all", "engine name or substring (e.g. \"cranelift\", \"llvm cheap\"), or \"all\"")
@@ -81,14 +82,7 @@ func main() {
 	if *noBatch {
 		cfg.Batch = false
 	}
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
-	}
+	cfg.Arch = arch
 
 	var queries []bench.Query
 	switch *workload {

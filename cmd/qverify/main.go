@@ -43,7 +43,8 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	archFlag := flag.String("arch", "vx64", "target architecture (vx64 or va64)")
+	arch := vt.VX64
+	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
 	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	mem := flag.Int("mem", 512, "VM memory in MiB")
@@ -53,14 +54,7 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.SF = *sf
 	cfg.MemMB = *mem
-	switch *archFlag {
-	case "vx64":
-		cfg.Arch = vt.VX64
-	case "va64":
-		cfg.Arch = vt.VA64
-	default:
-		fail("unknown arch %q", *archFlag)
-	}
+	cfg.Arch = arch
 
 	var queries []bench.Query
 	switch *workload {

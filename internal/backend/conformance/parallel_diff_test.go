@@ -2,7 +2,9 @@
 // and without batch kernels) must reproduce the sequential tuple-at-a-time
 // result byte for byte — same rows, same row order, same trap codes — for
 // every TPC-H query, on both virtual targets, at every worker count. This
-// is the executor's analog of the pcc byte-identity differential.
+// is the executor's analog of the pcc byte-identity differential. The
+// parallel side compiles with constant hoisting, as qc.DB does, so workers
+// read pooled literals through the shared constant pool.
 package conformance_test
 
 import (
@@ -70,7 +72,7 @@ func TestParallelDifferential(t *testing.T) {
 					// fresh module rather than reusing one across resets.
 					for _, batch := range []bool{false, true} {
 						for _, jobs := range []int{1, 2, 4, 8} {
-							copts := codegen.Options{Elim: true, Batch: batch, Parallel: true}
+							copts := codegen.Options{Elim: true, Hoist: true, Batch: batch, Parallel: true}
 							cc, err := codegen.CompileOpts(q.Name, q.Build(), w.cat, copts)
 							if err != nil {
 								t.Fatalf("compile (batch=%v): %v", batch, err)
@@ -123,7 +125,7 @@ func TestParallelActuallyParallel(t *testing.T) {
 
 	q := tpch.Queries()[0] // q1
 	c, err := codegen.CompileOpts(q.Name, q.Build(), w.cat,
-		codegen.Options{Elim: true, Batch: true, Parallel: true})
+		codegen.Options{Elim: true, Hoist: true, Batch: true, Parallel: true})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

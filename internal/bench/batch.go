@@ -122,98 +122,72 @@ func BatchCost(cfg Config) (*Report, *BatchReport, error) {
 		er := BatchEngine{Engine: eng.Name()}
 		var batchRatios, parRatios, scanHeavy []float64
 		// Persistent worker pool for the parallel regime, carved below the
-		// checkpoint so it survives per-query resets; the 1-worker batch
-		// regime stays pool-free (nothing to pool at one worker).
-		pool := codegen.NewExecPool(w.DB, jobs, 0)
+		// checkpoint so it survives per-query resets; the 1-worker regimes
+		// stay pool-free (a pool's worker count overrides Jobs).
+		pool := codegen.NewExecPool(w.DB, jobs)
+		regimes := []struct {
+			batch bool
+			jobs  int
+			pool  *codegen.ExecPool
+		}{{false, 1, nil}, {true, 1, nil}, {true, jobs, pool}}
 		w.DB.Checkpoint()
 		skipped := false
 		for _, q := range HQueries() {
-			// One tuple-mode compile (the baseline) and one batch+parallel
-			// compile per query; both modules stay live until the final
-			// checkpoint reset.
-			ct, err := codegen.Compile(q.Name, q.Build(), w.Cat)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			ext, _, err := eng.Compile(ct.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			if _, ok := ext.(interface{ Module() *vm.Module }); !ok {
-				skipped = true
-				break
-			}
-			cb, err := codegen.CompileOpts(q.Name, q.Build(), w.Cat,
-				codegen.Options{Elim: true, Batch: true, Parallel: true})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			exb, _, err := eng.Compile(cb.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			mod := exb.(interface{ Module() *vm.Module }).Module()
-
 			bq := BatchQuery{Name: q.Name}
-			for _, f := range cb.Module.Funcs {
-				if f.Prov.Mode == "batch" {
-					bq.BatchMode = true
+			var best [3]time.Duration
+			// Each regime compiles its own module right before measuring
+			// it: engine compilation binds the module's runtime-call table
+			// onto the shared machine, and every module stays live until
+			// the query's checkpoint reset.
+			for i, rg := range regimes {
+				c, err := codegen.CompileOpts(q.Name, q.Build(), w.Cat,
+					codegen.Options{Elim: true, Hoist: true, Batch: rg.batch, Parallel: rg.batch})
+				if err != nil {
+					return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
 				}
-			}
-
-			// Worker arenas and sink state unwind to this mark between
-			// repetitions; interned strings from both compiles stay below.
-			mark := w.DB.M.HeapMark()
-			measure := func(run func() error) (time.Duration, error) {
-				var best time.Duration
+				ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
+				if err != nil {
+					return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+				}
+				mh, ok := ex.(interface{ Module() *vm.Module })
+				if !ok {
+					skipped = true
+					break
+				}
+				for _, f := range c.Module.Funcs {
+					if f.Prov.Mode == "batch" {
+						bq.BatchMode = true
+					}
+				}
+				opts := codegen.ExecOptions{Jobs: rg.jobs, Module: mh.Module(), Pool: rg.pool}
+				workersBefore := obs.NewCounter("exec_workers").Load()
+				// Worker arenas and sink state unwind to this mark between
+				// repetitions; interned strings of the compile stay below.
+				mark := w.DB.M.HeapMark()
 				for r := 0; r < runs+1; r++ {
 					w.DB.ResetQueryState()
 					w.DB.M.ResetHeapTo(mark)
 					start := time.Now()
-					if err := run(); err != nil {
-						return 0, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
+					if err := codegen.RunParallel(w.DB, w.Cat, c, ex.Call, opts); err != nil {
+						return nil, nil, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
 					}
 					d := time.Since(start)
 					// r == 0 warms caches; timing starts at r == 1.
-					if r == 1 || (r > 1 && d < best) {
-						best = d
+					if r == 1 || (r > 1 && d < best[i]) {
+						best[i] = d
 					}
 					bq.Rows = w.DB.Out.NumRows()
 				}
-				return best, nil
+				if rg.jobs > 1 {
+					bq.ParallelRan = obs.NewCounter("exec_workers").Load() > workersBefore
+				}
 			}
-			// Engine compilation binds its module's runtime-call table onto
-			// the shared machine; with two live modules per query, re-bind
-			// before switching between them.
-			if err := w.DB.Bind(ct.Module.RTNames); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
+			if skipped {
+				break
 			}
-			tuple, err := measure(func() error { return codegen.Run(w.DB, w.Cat, ct, ext.Call) })
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := w.DB.Bind(cb.Module.RTNames); err != nil {
-				return nil, nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
-			}
-			batch1, err := measure(func() error {
-				return codegen.RunParallel(w.DB, w.Cat, cb, exb.Call,
-					codegen.ExecOptions{Jobs: 1, Module: mod})
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			workersBefore := obs.NewCounter("exec_workers").Load()
-			par, err := measure(func() error {
-				return codegen.RunParallel(w.DB, w.Cat, cb, exb.Call,
-					codegen.ExecOptions{Jobs: jobs, Module: mod, Pool: pool})
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			bq.ParallelRan = obs.NewCounter("exec_workers").Load() > workersBefore
-			bq.TupleNS = tuple.Nanoseconds()
-			bq.BatchNS = batch1.Nanoseconds()
-			bq.ParNS = par.Nanoseconds()
+			bq.TupleNS = best[0].Nanoseconds()
+			bq.BatchNS = best[1].Nanoseconds()
+			bq.ParNS = best[2].Nanoseconds()
 			er.Queries = append(er.Queries, bq)
 			if bq.BatchSpeedup() > 0 {
 				batchRatios = append(batchRatios, bq.BatchSpeedup())

@@ -75,9 +75,6 @@ type ExecSettings struct {
 	Batch bool
 }
 
-// active reports whether the settings deviate from the seed execution path.
-func (e ExecSettings) active() bool { return e.Jobs > 1 || e.Batch }
-
 // NewCodeCache returns the configured code cache (nil when disabled).
 func (c Config) NewCodeCache() *pcc.Cache {
 	if c.CacheMB <= 0 {
@@ -233,7 +230,8 @@ func RunSuiteTraced(w *World, eng backend.Engine, arch vt.Arch, queries []Query,
 // eligible pipelines to batch kernels and es.Jobs > 1 executes table
 // pipelines through the morsel-parallel executor (falling back to
 // sequential where a pipeline is ineligible or the engine produces no vm
-// module). The zero ExecSettings is exactly RunSuiteTraced.
+// module). Queries compile as qc.DB compiles them, with check elimination
+// and constant hoisting. The zero ExecSettings is exactly RunSuiteTraced.
 func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, runs int, tr *obs.Tracer, opts backend.Options, es ExecSettings) (*EngineRun, error) {
 	if runs < 1 {
 		runs = 1
@@ -242,21 +240,12 @@ func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, r
 	// Persistent executor workers: arenas carved below the checkpoint mark
 	// survive the per-query ResetToCheckpoint, so RunParallel re-arms them
 	// instead of rebuilding machines and runtimes for every query.
-	var pool *codegen.ExecPool
-	if es.Jobs > 1 {
-		pool = codegen.NewExecPool(w.DB, es.Jobs, 0)
-	}
+	pool := codegen.NewExecPool(w.DB, es.Jobs)
 	w.DB.Checkpoint()
 	for _, q := range queries {
 		qsp := tr.BeginCat("query:"+q.Name, "query")
-		var c *codegen.Compiled
-		var err error
-		if es.active() {
-			c, err = codegen.CompileOpts(q.Name, q.Build(), w.Cat,
-				codegen.Options{Elim: true, Batch: es.Batch, Parallel: es.Jobs > 1})
-		} else {
-			c, err = codegen.Compile(q.Name, q.Build(), w.Cat)
-		}
+		c, err := codegen.CompileOpts(q.Name, q.Build(), w.Cat,
+			codegen.Options{Elim: true, Hoist: true, Batch: es.Batch, Parallel: es.Jobs > 1})
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", eng.Name(), q.Name, err)
 		}
@@ -270,16 +259,9 @@ func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, r
 			tr.Add(name, v)
 		}
 		out.Stats.Merge(stats)
-		execute := func() error { return codegen.Run(w.DB, w.Cat, c, ex.Call) }
-		if es.active() {
-			var mod *vm.Module
-			if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-				mod = mh.Module()
-			}
-			execute = func() error {
-				return codegen.RunParallel(w.DB, w.Cat, c, ex.Call,
-					codegen.ExecOptions{Jobs: es.Jobs, Module: mod, Pool: pool})
-			}
+		var mod *vm.Module
+		if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
+			mod = mh.Module()
 		}
 		var best time.Duration
 		var rows int
@@ -295,7 +277,9 @@ func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, r
 			startMem := w.DB.M.MemOps
 			esp := tr.BeginCat("exec", "exec")
 			start := time.Now()
-			if err := execute(); err != nil {
+			err := codegen.RunParallel(w.DB, w.Cat, c, ex.Call,
+				codegen.ExecOptions{Jobs: es.Jobs, Module: mod, Pool: pool})
+			if err != nil {
 				return nil, fmt.Errorf("%s/%s: run: %w", eng.Name(), q.Name, err)
 			}
 			d := time.Since(start)
@@ -310,11 +294,9 @@ func RunSuiteExec(w *World, eng backend.Engine, arch vt.Arch, queries []Query, r
 		}
 		qsp.End()
 		var fuseInstrs, fuseMicro int64
-		if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-			if mod := mh.Module(); mod != nil && mod.FuseEnabled() {
-				fs := mod.FuseStats()
-				fuseInstrs, fuseMicro = int64(fs.Instrs), int64(fs.MicroOps)
-			}
+		if mod != nil && mod.FuseEnabled() {
+			fs := mod.FuseStats()
+			fuseInstrs, fuseMicro = int64(fs.Instrs), int64(fs.MicroOps)
 		}
 		out.Queries = append(out.Queries, QueryMeasurement{
 			// WallClock: elapsed compile time — equals stats.Total for

@@ -97,7 +97,7 @@ func runPlanMorsel(t *testing.T, env *testEnv, name string, p plan.Node, morsel 
 		t.Error("no functions compiled")
 	}
 	env.db.Out.Reset()
-	err = RunMorsels(env.db, env.cat, c, ex.Call, morsel)
+	err = RunParallel(env.db, env.cat, c, ex.Call, ExecOptions{MorselSize: morsel})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -11,56 +11,16 @@ import (
 type CallFunc func(fn int, args ...uint64) ([2]uint64, error)
 
 // DefaultMorselSize is the driver's scan granularity, the morsel-driven
-// parallelism unit from the paper (we execute morsels sequentially but keep
-// the call structure).
+// parallelism unit from the paper. Sequential execution runs the same
+// morsels in order on the calling goroutine.
 const DefaultMorselSize = 16384
 
-// Run executes a compiled query against db: it allocates and zeroes the
-// query state, then for every pipeline runs setup, the main function once
-// per morsel of the pipeline's source, and cleanup. Results accumulate in
-// db.Out.
+// Run executes a compiled query against db sequentially: RunParallel at one
+// worker. It allocates and zeroes the query state, then for every pipeline
+// runs setup, the main function once per morsel of the pipeline's source,
+// and cleanup. Results accumulate in db.Out.
 func Run(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc) error {
-	return RunMorsels(db, cat, c, call, DefaultMorselSize)
-}
-
-// RunMorsels is Run with an explicit morsel size.
-func RunMorsels(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, morsel int64) error {
-	if morsel <= 0 {
-		return fmt.Errorf("codegen: bad morsel size %d", morsel)
-	}
-	// Bind the module's hoisted literals into the runtime constant pool;
-	// compiled bodies read their values from the pool slots at execution
-	// time. Idempotent and cheap when already bound.
-	if err := db.BindConstPool(c.Module.Pool); err != nil {
-		return err
-	}
-	state := db.M.Alloc(uint64(c.StateSize))
-	for i := int64(0); i < c.StateSize; i++ {
-		db.M.Mem[state+uint64(i)] = 0
-	}
-	for pi := range c.Pipelines {
-		p := &c.Pipelines[pi]
-		if _, err := call(p.SetupFn, state); err != nil {
-			return fmt.Errorf("pipeline %d setup: %w", pi, err)
-		}
-		n, err := sourceRows(db, cat, p, state)
-		if err != nil {
-			return fmt.Errorf("pipeline %d: %w", pi, err)
-		}
-		for lo := int64(0); lo < n; lo += morsel {
-			hi := lo + morsel
-			if hi > n {
-				hi = n
-			}
-			if _, err := call(p.MainFn, state, uint64(lo), uint64(hi)); err != nil {
-				return fmt.Errorf("pipeline %d morsel [%d,%d): %w", pi, lo, hi, err)
-			}
-		}
-		if _, err := call(p.CleanupFn, state); err != nil {
-			return fmt.Errorf("pipeline %d cleanup: %w", pi, err)
-		}
-	}
-	return nil
+	return RunParallel(db, cat, c, call, ExecOptions{})
 }
 
 func sourceRows(db *rt.DB, cat *rt.Catalog, p *Pipeline, state uint64) (int64, error) {

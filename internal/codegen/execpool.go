@@ -8,47 +8,42 @@ import (
 
 var ctrPoolReuses = obs.NewCounter("exec_pool_reuses")
 
-// ExecPool is a persistent morsel-executor worker pool: the per-worker
-// arenas, machines, and scratch runtimes that RunParallel would otherwise
-// build from scratch on every call are carved and constructed once, then
-// re-armed (heap reset, handle/intern re-sync, runtime rebind) per query.
-// Fan-out cost drops from arena allocation + machine + runtime construction
-// to a few pointer resets, which matters exactly in the plan-cache regime
-// where compilation is already amortized and per-query overhead dominates.
+// arenaSize is the heap arena carved for each executor worker. A worker's
+// stack lives in the top 1 MiB of its arena (the vm's fixed stack margin);
+// the rest is the worker's heap for pipeline state and sink entries.
+const arenaSize = 4 << 20
+
+// ExecPool is a morsel-executor worker pool: per-worker arenas, machines,
+// and scratch runtimes, re-armed (heap reset, handle/intern re-sync,
+// runtime rebind) per query. RunParallel carves a transient pool out of the
+// query's heap when it is given none. A persistent pool (NewExecPool) is
+// built once, so fan-out cost drops from arena allocation + machine +
+// runtime construction to a few pointer resets, which matters exactly in
+// the plan-cache regime where compilation is already amortized and
+// per-query overhead dominates.
 //
-// Create the pool before db.Checkpoint(): the arenas must sit below the
-// checkpoint mark or per-query ResetToCheckpoint would free them. The pool
-// is single-owner like the DB itself — one query executes at a time.
+// Create a persistent pool before db.Checkpoint(): the arenas must sit
+// below the checkpoint mark or per-query ResetToCheckpoint would free them.
+// The pool is single-owner like the DB itself — one query executes at a
+// time.
 type ExecPool struct {
 	db    *rt.DB
-	arena uint64
 	ws    []*worker
 	marks []uint64 // per-worker post-construction heap marks
 }
 
-// NewExecPool builds a persistent pool of jobs workers with arenaMB MiB
-// arenas (same defaults and minimums as ExecOptions). Returns nil when jobs
-// leaves nothing to pool (<= 1) or the heap cannot fit the arenas — callers
-// fall back to per-query workers or sequential execution.
-func NewExecPool(db *rt.DB, jobs, arenaMB int) *ExecPool {
-	if jobs <= 1 {
+// NewExecPool carves jobs worker arenas out of db's heap and builds the
+// worker machines and runtimes. Returns nil when jobs leaves nothing to
+// pool (<= 1) or the heap cannot fit the arenas; given no persistent pool,
+// RunParallel builds a transient one per query or runs sequentially.
+func NewExecPool(db *rt.DB, jobs int) *ExecPool {
+	if jobs <= 1 || db.M.HeapRoom() < uint64(jobs)*arenaSize+(1<<20) {
 		return nil
 	}
-	arena := uint64(arenaMB)
-	if arena == 0 {
-		arena = defaultArenaMB
-	}
-	if arena < 2 {
-		arena = 2
-	}
-	arena <<= 20
-	if db.M.HeapRoom() < uint64(jobs)*arena+(1<<20) {
-		return nil
-	}
-	pl := &ExecPool{db: db, arena: arena}
+	pl := &ExecPool{db: db}
 	for i := 0; i < jobs; i++ {
-		base := db.M.Alloc(arena)
-		wm := vm.NewWorker(db.M, base, base+arena)
+		base := db.M.Alloc(arenaSize)
+		wm := vm.NewWorker(db.M, base, base+arenaSize)
 		wdb := db.NewWorkerDB(wm)
 		pl.ws = append(pl.ws, &worker{m: wm, db: wdb})
 		pl.marks = append(pl.marks, wm.HeapMark())
@@ -74,6 +69,5 @@ func (pl *ExecPool) acquire(c *Compiled) []*worker {
 		}
 		wk.state = wk.m.Alloc(uint64(c.StateSize))
 	}
-	ctrPoolReuses.Inc()
 	return pl.ws
 }

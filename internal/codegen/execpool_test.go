@@ -28,7 +28,7 @@ func runParPooled(t *testing.T, env *testEnv, pool *ExecPool, p plan.Node, jobs 
 	mod := ex.(interface{ Module() *vm.Module }).Module()
 	env.db.Out.Reset()
 	runErr := RunParallel(env.db, env.cat, c, ex.Call,
-		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel, ArenaMB: 1, Pool: pool})
+		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel, Pool: pool})
 	return env.db.Out.Ordered(), runErr
 }
 
@@ -37,7 +37,7 @@ func runParPooled(t *testing.T, env *testEnv, pool *ExecPool, p plan.Node, jobs 
 // RunParallel call, with results identical to sequential execution.
 func TestExecPoolReusedAcrossQueries(t *testing.T) {
 	env := parEnv(t, 4096, -1)
-	pool := NewExecPool(env.db, 4, 1)
+	pool := NewExecPool(env.db, 4)
 	if pool == nil {
 		t.Fatal("NewExecPool returned nil with ample heap room")
 	}
@@ -98,7 +98,7 @@ func TestExecPoolReusedAcrossQueries(t *testing.T) {
 // per-query workers.
 func TestExecPoolForeignDBIgnored(t *testing.T) {
 	other := parEnv(t, 256, -1)
-	foreign := NewExecPool(other.db, 2, 1)
+	foreign := NewExecPool(other.db, 2)
 	if foreign == nil {
 		t.Fatal("pool construction failed")
 	}

@@ -11,11 +11,12 @@ import (
 )
 
 var (
-	ctrExecMorsels = obs.NewCounter("exec_morsels")
-	ctrExecWorkers = obs.NewCounter("exec_workers")
+	ctrExecMorsels   = obs.NewCounter("exec_morsels")
+	ctrExecWorkers   = obs.NewCounter("exec_workers")
+	ctrExecFallbacks = obs.NewCounter("exec_worker_fallbacks")
 )
 
-// ExecOptions configures the morsel-parallel executor.
+// ExecOptions configures the morsel executor.
 type ExecOptions struct {
 	// Jobs is the worker count; <= 1 executes every pipeline sequentially.
 	Jobs int
@@ -25,17 +26,12 @@ type ExecOptions struct {
 	// MorselSize overrides morsel sizing for every pipeline (0 = automatic:
 	// DefaultMorselSize sequentially, row-count/worker-derived in parallel).
 	MorselSize int64
-	// ArenaMB is the per-worker heap arena in MiB (default 4, minimum 2 —
-	// the vm reserves the top 1 MiB of each arena as the worker's stack).
-	ArenaMB int
 	// Pool, when set (and built over the same DB), supplies persistent
 	// workers re-armed per query instead of constructing arenas, machines,
 	// and runtimes on every RunParallel call. Its worker count overrides
 	// Jobs for the parallel path.
 	Pool *ExecPool
 }
-
-const defaultArenaMB = 4
 
 // worker is one executor lane: a machine aliasing the main machine's memory
 // with heap and stack confined to a private arena, plus a scratch runtime.
@@ -45,19 +41,17 @@ type worker struct {
 	state uint64
 }
 
-// RunParallel executes a compiled query like Run, but fans eligible table
-// pipelines out over opts.Jobs workers, morsel-driven: workers pull fixed
-// row ranges off a shared counter, accumulate partition-local sink state and
-// output rows, and the executor merges both in morsel order afterwards, so
-// results are byte-identical to sequential execution regardless of worker
-// count. Ineligible pipelines (non-table sources, LIMIT, float running
-// sums, aggregations compiled without Options.Parallel) run sequentially
-// through the same engine call path Run uses.
+// RunParallel is the query executor. It fans eligible table pipelines out
+// over opts.Jobs workers, morsel-driven: workers pull fixed row ranges off a
+// shared counter, accumulate partition-local sink state and output rows,
+// and the executor merges both in morsel order afterwards, so results are
+// byte-identical to sequential execution regardless of worker count.
+// Ineligible pipelines (non-table sources, LIMIT, float running sums,
+// aggregations compiled without Options.Parallel) run sequentially on the
+// calling goroutine through call. At one worker (Run) every pipeline does,
+// and no worker entry map or workers are built.
 func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts ExecOptions) error {
 	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = 1
-	}
 	pool := opts.Pool
 	if pool != nil && pool.db != db {
 		pool = nil // pool workers alias a different machine's memory
@@ -65,16 +59,9 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 	if pool != nil {
 		jobs = pool.Jobs()
 	}
-	arena := uint64(opts.ArenaMB)
-	if arena == 0 {
-		arena = defaultArenaMB
+	if opts.Module == nil || jobs < 1 {
+		jobs = 1 // workers replay vm code; without a module nothing fans out
 	}
-	// A worker's stack lives in the top 1 MiB of its arena (the vm's fixed
-	// stack margin), so anything smaller than 2 MiB leaves no usable heap.
-	if arena < 2 {
-		arena = 2
-	}
-	arena <<= 20
 
 	seqMorsel := int64(DefaultMorselSize)
 	if opts.MorselSize > 0 {
@@ -95,8 +82,9 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 	// Worker entry points come from the module's unwind table (function
 	// index -> code offset); engines that don't register them fall back to
 	// sequential execution.
-	entries := map[int]int32{}
-	if opts.Module != nil {
+	var entries map[int]int32
+	if jobs > 1 {
+		entries = map[int]int32{}
 		for _, r := range opts.Module.Funcs() {
 			if r.Func >= 0 {
 				entries[int(r.Func)] = r.Start
@@ -119,17 +107,15 @@ func RunParallel(db *rt.DB, cat *rt.Catalog, c *Compiled, call CallFunc, opts Ex
 		}
 		nMorsels := (n + morsel - 1) / morsel
 
-		parallel := jobs > 1 && opts.Module != nil && nMorsels >= 2 &&
+		parallel := jobs > 1 && nMorsels >= 2 &&
 			p.Source == SrcTable && !p.NoParallel &&
 			!(p.Sink == SinkAgg && p.MergeFn < 0) &&
 			hasEntries(entries, p)
 		if parallel && workers == nil && !workersFailed {
-			if pool != nil {
-				workers = pool.acquire(c)
-			} else {
-				workers = makeWorkers(db, c, jobs, arena)
+			workers = acquireWorkers(db, c, pool, jobs)
+			if workersFailed = workers == nil; workersFailed {
+				ctrExecFallbacks.Inc()
 			}
-			workersFailed = workers == nil
 		}
 		if !parallel || workers == nil {
 			if err := runPipelineSeq(p, pi, call, state, n, seqMorsel); err != nil {
@@ -167,29 +153,27 @@ func hasEntries(entries map[int]int32, p *Pipeline) bool {
 	return s && m
 }
 
-// makeWorkers carves per-worker arenas out of the main heap and builds the
-// worker machines and runtimes. Returns nil when the heap cannot fit them —
+// acquireWorkers arms the workers for one query: the persistent pool when
+// there is one, otherwise a transient pool carved out of this query's heap.
+// Returns nil when the heap cannot fit the arenas or a runtime bind fails;
 // the query then runs sequentially rather than risking arena exhaustion.
-func makeWorkers(db *rt.DB, c *Compiled, jobs int, arena uint64) []*worker {
-	need := uint64(jobs)*arena + uint64(c.StateSize) + (1 << 20)
-	if db.M.HeapRoom() < need {
+func acquireWorkers(db *rt.DB, c *Compiled, pool *ExecPool, jobs int) []*worker {
+	if pool != nil {
+		ws := pool.acquire(c)
+		if ws != nil {
+			ctrPoolReuses.Inc()
+		}
+		return ws
+	}
+	if pool = NewExecPool(db, jobs); pool == nil {
 		return nil
 	}
-	ws := make([]*worker, jobs)
-	for i := range ws {
-		base := db.M.Alloc(arena)
-		wm := vm.NewWorker(db.M, base, base+arena)
-		wdb := db.NewWorkerDB(wm)
-		if err := wdb.Bind(c.Module.RTNames); err != nil {
-			return nil
-		}
-		ws[i] = &worker{m: wm, db: wdb, state: wm.Alloc(uint64(c.StateSize))}
-	}
-	return ws
+	return pool.acquire(c)
 }
 
-// runPipelineSeq is the sequential per-pipeline path, identical to
-// RunMorsels' inner loop.
+// runPipelineSeq is the sequential per-pipeline path: setup, the main
+// function once per morsel in order, cleanup, all on the calling goroutine.
+// It is the reference the parallel lane must reproduce.
 func runPipelineSeq(p *Pipeline, pi int, call CallFunc, state uint64, n, morsel int64) error {
 	if _, err := call(p.SetupFn, state); err != nil {
 		return fmt.Errorf("pipeline %d setup: %w", pi, err)

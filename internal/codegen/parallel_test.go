@@ -20,7 +20,13 @@ import (
 // id I64 = row+1, val I64 = row%7, div I64 = 1 except divZeroRow (0).
 func parEnv(t *testing.T, n int64, divZeroRow int64) *testEnv {
 	t.Helper()
-	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 64 << 20})
+	return parEnvMem(t, 64<<20, n, divZeroRow)
+}
+
+// parEnvMem is parEnv on a machine with mem bytes of memory.
+func parEnvMem(t *testing.T, mem int, n int64, divZeroRow int64) *testEnv {
+	t.Helper()
+	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: mem})
 	db := rt.NewDB(m)
 	cat := rt.NewCatalog(db)
 	big := cat.CreateTable("big", n,
@@ -64,7 +70,7 @@ func runPar(t *testing.T, env *testEnv, p plan.Node, jobs int, morsel int64) ([]
 	mod := ex.(interface{ Module() *vm.Module }).Module()
 	env.db.Out.Reset()
 	runErr := RunParallel(env.db, env.cat, c, ex.Call,
-		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel, ArenaMB: 1})
+		ExecOptions{Jobs: jobs, Module: mod, MorselSize: morsel})
 	return env.db.Out.Ordered(), runErr
 }
 
@@ -82,7 +88,7 @@ func runSeqRef(t *testing.T, env *testEnv, p plan.Node, morsel int64) ([]string,
 		t.Fatalf("backend compile: %v", err)
 	}
 	env.db.Out.Reset()
-	runErr := RunMorsels(env.db, env.cat, c, ex.Call, morsel)
+	runErr := RunParallel(env.db, env.cat, c, ex.Call, ExecOptions{MorselSize: morsel})
 	return env.db.Out.Ordered(), runErr
 }
 
@@ -276,5 +282,38 @@ func TestParallelBatchAggMatchesTuple(t *testing.T) {
 	}
 	if got := obs.NewCounter("rt_batch_rows").Load() - before; got != 1000 {
 		t.Fatalf("rt_batch_rows advanced by %d, want 1000", got)
+	}
+}
+
+// TestParallelFallbackWhenArenasDoNotFit: on a machine whose heap cannot
+// hold jobs × arenaSize, the executor runs every pipeline sequentially,
+// counts the fallback in exec_worker_fallbacks, and returns exactly the
+// sequential rows.
+func TestParallelFallbackWhenArenasDoNotFit(t *testing.T) {
+	const mem = 12 << 20
+	const jobs = 4
+	env := parEnvMem(t, mem, 1000, -1)
+	ref, err := runSeqRef(t, env, sumPlan(), 128)
+	if err != nil {
+		t.Fatalf("seq run: %v", err)
+	}
+	env = parEnvMem(t, mem, 1000, -1)
+	if room := env.db.M.HeapRoom(); room >= jobs*arenaSize {
+		t.Fatalf("heap room %d fits %d arenas; the test needs a machine that cannot", room, jobs)
+	}
+	fallbacksBefore := ctrExecFallbacks.Load()
+	workersBefore := ctrExecWorkers.Load()
+	rows, err := runPar(t, env, sumPlan(), jobs, 128)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !reflect.DeepEqual(rows, ref) {
+		t.Fatalf("fallback run %v, sequential %v", rows, ref)
+	}
+	if got := ctrExecFallbacks.Load() - fallbacksBefore; got != 1 {
+		t.Errorf("exec_worker_fallbacks advanced by %d, want 1", got)
+	}
+	if got := ctrExecWorkers.Load() - workersBefore; got != 0 {
+		t.Errorf("exec_workers advanced by %d on a machine without room for workers", got)
 	}
 }

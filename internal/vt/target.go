@@ -1,5 +1,7 @@
 package vt
 
+import "fmt"
+
 // Arch identifies a virtual target architecture.
 type Arch uint8
 
@@ -17,6 +19,21 @@ func (a Arch) String() string {
 		return "va64"
 	}
 	return "arch(?)"
+}
+
+// Set implements flag.Value: it sets a to the architecture named s
+// ("vx64" or "va64"). An -arch flag declared with flag.Var therefore
+// rejects an unknown name while parsing (exit status 2).
+func (a *Arch) Set(s string) error {
+	switch s {
+	case "vx64":
+		*a = VX64
+	case "va64":
+		*a = VA64
+	default:
+		return fmt.Errorf("unknown arch %q (want vx64 or va64)", s)
+	}
+	return nil
 }
 
 // Target describes the register file and calling convention of an

@@ -306,15 +306,8 @@ func (d *DB) ExecPlan(engine string, name string, node plan.Node) (*Result, erro
 }
 
 func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, error) {
-	batchExec := d.execJobs > 1 || d.batch
-	var c *codegen.Compiled
-	var err error
-	if batchExec {
-		c, err = codegen.CompileOpts(name, node, d.cat,
-			codegen.Options{Elim: true, Hoist: true, Batch: d.batch, Parallel: d.execJobs > 1})
-	} else {
-		c, err = codegen.Compile(name, node, d.cat)
-	}
+	c, err := codegen.CompileOpts(name, node, d.cat,
+		codegen.Options{Elim: true, Hoist: true, Batch: d.batch, Parallel: d.execJobs > 1})
 	if err != nil {
 		return nil, err
 	}
@@ -332,19 +325,13 @@ func (d *DB) run(eng backend.Engine, name string, node plan.Node) (*Result, erro
 		return nil, err
 	}
 	d.db.ResetQueryState()
-	execute := func() error { return codegen.Run(d.db, d.cat, c, ex.Call) }
-	if batchExec {
-		var mod *vm.Module
-		if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
-			mod = mh.Module()
-		}
-		execute = func() error {
-			return codegen.RunParallel(d.db, d.cat, c, ex.Call,
-				codegen.ExecOptions{Jobs: d.execJobs, Module: mod})
-		}
+	var mod *vm.Module
+	if mh, ok := ex.(interface{ Module() *vm.Module }); ok {
+		mod = mh.Module()
 	}
 	start := time.Now()
-	if err := execute(); err != nil {
+	if err := codegen.RunParallel(d.db, d.cat, c, ex.Call,
+		codegen.ExecOptions{Jobs: d.execJobs, Module: mod}); err != nil {
 		return nil, err
 	}
 	execTime := time.Since(start)
