@@ -47,6 +47,10 @@
 #  15. the benchmark's own tests (qcbench is a separate Go module, so step 3
 #      does not reach it): workload digest coverage, crash containment and
 #      the BENCHMARK.json <-> metric list agreement, in short mode
+#  16. gofmt: no Go file may differ from its gofmt formatting
+#  17. the shared CLI usage-error status: each of the seven cmd/* tools
+#      exits 2 on an unknown -workload (qrun and qir get a dummy query, so
+#      their missing-argument exit cannot stand in for the flag check)
 #
 # The unchecked-conservation check (QIR marks must survive into every
 # back-end's machine code) runs inside step 5 as part of qverify.
@@ -129,5 +133,24 @@ go run ./cmd/qbench -sf 0.05 -runs 3 -cache-gate 0.9 cache >/dev/null
 
 echo "== qcbench tests (short) =="
 (cd qcbench && go test -short .)
+
+echo "== gofmt =="
+test -z "$(gofmt -l .)"
+
+echo "== CLI usage errors exit 2 (-workload bogus) =="
+bin="$(mktemp -d -t qcc-cli.XXXXXX)"
+trap 'rm -f "$tmp" "$ptmp"; rm -rf "$bin"' EXIT
+for cmd in qbench qrun qtrace qprof qlint qverify qir; do
+	go build -o "$bin/$cmd" "./cmd/$cmd"
+	arg=""
+	case "$cmd" in qrun | qir) arg="SELECT 1" ;; esac
+	status=0
+	"$bin/$cmd" -workload bogus ${arg:+"$arg"} >/dev/null 2>&1 || status=$?
+	if [ "$status" -ne 2 ]; then
+		echo "$cmd -workload bogus: exit status $status, want 2" >&2
+		exit 1
+	fi
+done
+echo "all seven CLIs exit 2"
 
 echo "== ci.sh: all checks passed =="

@@ -47,8 +47,9 @@
 // overhead exceeds N percent.
 //
 // -json writes a machine-readable report (schema qcc.obs.report/v2) of the
-// TPC-H suite over all engines to the given file ("-" for stdout). With
-// -json and no experiment arguments, only the JSON report is produced.
+// TPC-H suite over all engines to the given file. With -json and no
+// experiment arguments, only the JSON report is produced. Every report
+// path, -json and the -*-json ones, takes "-" for stdout.
 // -check runs the machine-code verifier inside every compilation; its cost
 // appears as Check.* phases in the report.
 // -jobs shards each compilation across N worker goroutines (the parallel
@@ -68,76 +69,46 @@ import (
 	"runtime"
 
 	"qcc/internal/bench"
-	"qcc/internal/vt"
+	"qcc/internal/cli"
 )
 
 func main() {
-	arch := vt.VX64
-	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
-	sf := flag.Float64("sf", 0.05, "scale factor")
-	runs := flag.Int("runs", 1, "execution repetitions (best-of)")
-	mem := flag.Int("mem", 1024, "VM memory in MiB")
+	def := cli.Defaults()
+	def.SF, def.MemMB, def.Jobs = 0.05, 1024, runtime.GOMAXPROCS(0)
+	f := cli.Register(flag.CommandLine, def,
+		cli.Arch|cli.SF|cli.Runs|cli.Mem|cli.Jobs|cli.CacheMB|cli.Check|cli.NoFuse|cli.Exec)
 	sfSmall := flag.Float64("sf-small", 0.02, "small scale factor for fig7")
 	sfLarge := flag.Float64("sf-large", 0.2, "large scale factor for fig7")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel compilation workers (1 = sequential)")
-	cacheMB := flag.Int("cache-mb", 0, "content-addressed code cache budget in MiB (0 = disabled)")
 	jsonOut := flag.String("json", "", "write a qcc.obs.report/v2 JSON report of the TPC-H suite to this file (\"-\" for stdout)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation (adds Check.* phases to the report)")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
 	execJSON := flag.String("exec-json", "", "write the exec experiment's dispatch-cost report (schema qcc.bench.exec/v1) to this file")
 	profJSON := flag.String("prof-json", "", "write the prof experiment's profiler report (schema qcc.bench.prof/v1) to this file")
 	profPeriod := flag.Int64("prof-period", 0, "prof experiment sampling period in VM instructions (0 = default)")
 	profBudget := flag.Float64("prof-budget", 0, "fail (exit 1) if the prof experiment's geomean sampling overhead exceeds this percentage (0 = no gate)")
 	checkElimJSON := flag.String("checkelim-json", "", "write the checkelim experiment's report (schema qcc.bench.checkelim/v1) to this file")
 	checkElimGate := flag.Float64("checkelim-gate", 0, "fail (exit 1) if the checkelim experiment eliminates less than this fraction of q1/q6 static checks (0 = no gate)")
-	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers for suite runs and the batch experiment (1 = sequential; the batch experiment defaults to 4)")
-	batchOn := flag.Bool("batch", false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
-	noBatch := flag.Bool("nobatch", false, "force tuple-at-a-time execution even with -exec-jobs > 1")
 	batchJSON := flag.String("batch-json", "", "write the batch experiment's report (schema qcc.bench.batch/v1) to this file")
 	batchGate := flag.Float64("batch-gate", 0, "fail (exit 1) if the batch experiment's q1/q6 parallel speedup falls below this factor (0 = no gate)")
 	cacheJSON := flag.String("cache-json", "", "write the cache experiment's plan-cache report (schema qcc.bench.cache/v1) to this file")
 	cacheGate := flag.Float64("cache-gate", 0, "fail (exit 1) if the cache experiment's warm hit rate falls below this fraction or hoisting regresses execution beyond 3% geomean (0 = no gate)")
 	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.Runs = *runs
-	cfg.MemMB = *mem
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.CacheMB = *cacheMB
-	cfg.NoFuse = *noFuse
-	cfg.ExecJobs = *execJobs
-	cfg.Batch = *execJobs > 1
-	if *batchOn {
-		cfg.Batch = true
-	}
-	if *noBatch {
-		cfg.Batch = false
-	}
-	cfg.Arch = arch
+	cfg := f.Config()
 
 	if *jsonOut != "" {
 		// Open the destination before the (long) benchmark run so a bad
 		// path fails immediately.
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "json: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
+		out, err := cli.Create(*jsonOut)
+		if err != nil {
+			cli.Fail("json: %v", err)
 		}
 		rep, err := bench.JSONReport(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = rep.Write(out)
 		}
-		if err := rep.Write(out); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = out.Close()
+		}
+		if err != nil {
+			cli.Fail("json: %v", err)
 		}
 	}
 
@@ -171,15 +142,8 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			if *execJSON != "" {
-				f, err := os.Create(*execJSON)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := jrep.Write(f); err != nil {
-					return nil, err
-				}
+			if err := cli.WriteFile(*execJSON, jrep.Write); err != nil {
+				return nil, err
 			}
 			return rep, nil
 		}},
@@ -188,15 +152,8 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			if *checkElimJSON != "" {
-				f, err := os.Create(*checkElimJSON)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := jrep.Write(f); err != nil {
-					return nil, err
-				}
+			if err := cli.WriteFile(*checkElimJSON, jrep.Write); err != nil {
+				return nil, err
 			}
 			if *checkElimGate > 0 {
 				for _, eng := range jrep.Engines {
@@ -215,15 +172,8 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			if *batchJSON != "" {
-				f, err := os.Create(*batchJSON)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := jrep.Write(f); err != nil {
-					return nil, err
-				}
+			if err := cli.WriteFile(*batchJSON, jrep.Write); err != nil {
+				return nil, err
 			}
 			if *batchGate > 0 {
 				if err := bench.GateBatch(jrep, *batchGate, 1.25); err != nil {
@@ -237,15 +187,8 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			if *cacheJSON != "" {
-				f, err := os.Create(*cacheJSON)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := jrep.Write(f); err != nil {
-					return nil, err
-				}
+			if err := cli.WriteFile(*cacheJSON, jrep.Write); err != nil {
+				return nil, err
 			}
 			if *cacheGate > 0 {
 				if err := bench.GateCache(jrep, *cacheGate, 1.03); err != nil {
@@ -259,15 +202,8 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			if *profJSON != "" {
-				f, err := os.Create(*profJSON)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := jrep.Write(f); err != nil {
-					return nil, err
-				}
+			if err := cli.WriteFile(*profJSON, jrep.Write); err != nil {
+				return nil, err
 			}
 			if *profBudget > 0 && jrep.GeomeanOverheadPct > *profBudget {
 				return nil, fmt.Errorf("sampling overhead %.2f%% exceeds budget %.2f%%",
@@ -291,8 +227,7 @@ func main() {
 		ranAny = true
 		rep, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
+			cli.Fail("%s: %v", e.name, err)
 		}
 		fmt.Println(rep.String())
 	}

@@ -15,51 +15,37 @@ import (
 	"qcc/internal/backend"
 	"qcc/internal/backend/cbe"
 	"qcc/internal/backend/direct"
+	"qcc/internal/bench"
+	"qcc/internal/cli"
 	"qcc/internal/codegen"
-	"qcc/internal/rt"
 	"qcc/internal/sql"
-	"qcc/internal/tpcds"
-	"qcc/internal/tpch"
-	"qcc/internal/vm"
-	"qcc/internal/vt"
 )
 
 func main() {
-	workload := flag.String("workload", "tpch", "preloaded schema: tpch or tpcds")
-	sf := flag.Float64("sf", 0.01, "scale factor")
+	def := cli.Defaults()
+	def.MemMB = 256 // no -mem flag: the VM size qir has always used
+	f := cli.Register(flag.CommandLine, def, cli.Workload|cli.SF)
 	show := flag.String("show", "qir", "artifact: qir, c, asm, or all")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qir [flags] \"SELECT ...\"")
 		os.Exit(2)
 	}
+	cfg := f.Config()
 
-	m := vm.New(vm.Config{Arch: vt.VX64, MemSize: 256 << 20})
-	db := rt.NewDB(m)
-	cat := rt.NewCatalog(db)
-	var err error
-	switch *workload {
-	case "tpch":
-		err = tpch.Load(cat, *sf)
-	case "tpcds":
-		err = tpcds.Load(cat, *sf)
-	default:
-		fmt.Fprintf(os.Stderr, "qir: unknown workload %q (want tpch or tpcds)\n", *workload)
-		os.Exit(2)
-	}
+	w, err := bench.NewWorldLoaded(cfg, f.Workload.Value)
 	if err != nil {
-		fatal(err)
+		cli.Fail("%v", err)
 	}
-
-	node, err := sql.Parse(flag.Arg(0), cat)
+	node, err := sql.Parse(flag.Arg(0), w.Cat)
 	if err != nil {
-		fatal(err)
+		cli.Fail("%v", err)
 	}
-	c, err := codegen.Compile("q", node, cat)
+	c, err := codegen.Compile("q", node, w.Cat)
 	if err != nil {
-		fatal(err)
+		cli.Fail("%v", err)
 	}
-	env := &backend.Env{DB: db, Arch: vt.VX64}
+	env := &backend.Env{DB: w.DB, Arch: cfg.Arch}
 
 	if *show == "qir" || *show == "all" {
 		fmt.Printf("; %d pipelines, %d functions\n", len(c.Pipelines), c.NumFuncs)
@@ -68,23 +54,18 @@ func main() {
 	if *show == "c" || *show == "all" {
 		src, err := cbe.GenerateC(c.Module, env)
 		if err != nil {
-			fatal(err)
+			cli.Fail("%v", err)
 		}
 		fmt.Println(src)
 	}
 	if *show == "asm" || *show == "all" {
 		ex, stats, err := direct.New().Compile(c.Module, env)
 		if err != nil {
-			fatal(err)
+			cli.Fail("%v", err)
 		}
 		fmt.Printf("; DirectEmit: %d bytes in %v\n", stats.CodeBytes, stats.Total)
 		if d, ok := ex.(interface{ Disasm() string }); ok {
 			fmt.Print(d.Disasm())
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qir:", err)
-	os.Exit(1)
 }

@@ -25,15 +25,10 @@ import (
 	"sort"
 
 	"qcc/internal/bench"
+	"qcc/internal/cli"
 	"qcc/internal/codegen"
 	"qcc/internal/qir"
-	"qcc/internal/vt"
 )
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qlint: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 // queryReport is one query's lint + elimination summary.
 type queryReport struct {
@@ -70,44 +65,26 @@ type report struct {
 }
 
 func main() {
-	arch := vt.VX64
-	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
-	workload := flag.String("workload", "tpch", "workload (tpch, tpcds, or all)")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
+	f := cli.Register(flag.CommandLine, cli.Defaults(), cli.Arch|cli.WorkloadAll|cli.SF|cli.Mem)
 	asJSON := flag.Bool("json", false, "emit JSON instead of a table")
 	verbose := flag.Bool("v", false, "list per-reason elimination counts")
 	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Arch = arch
-
-	var workloads []string
-	switch *workload {
-	case "tpch", "tpcds":
-		workloads = []string{*workload}
-	case "all":
-		workloads = []string{"tpch", "tpcds"}
-	default:
-		fail("unknown workload %q", *workload)
-	}
+	cfg := f.Config()
 
 	rep := report{Arch: cfg.Arch.String(), SF: cfg.SF, ElimVersion: codegen.CheckElimVersion}
-	for _, wl := range workloads {
+	for _, wl := range f.Workloads() {
 		w, err := bench.NewWorldLoaded(cfg, wl)
 		if err != nil {
-			fail("load %s: %v", wl, err)
+			cli.Fail("load %s: %v", wl, err)
 		}
-		queries := bench.HQueries()
-		if wl == "tpcds" {
-			queries = bench.DSQueries()
+		queries, err := cli.Queries(wl, "")
+		if err != nil {
+			cli.Fail("%v", err)
 		}
 		for _, q := range queries {
 			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
 			if err != nil {
-				fail("codegen %s: %v", q.Name, err)
+				cli.Fail("codegen %s: %v", q.Name, err)
 			}
 			qr := queryReport{
 				Query:      q.Name,
@@ -133,7 +110,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&rep); err != nil {
-			fail("encode: %v", err)
+			cli.Fail("encode: %v", err)
 		}
 	} else {
 		fmt.Printf("qlint: %s sf=%g elim=%s\n", rep.Arch, rep.SF, rep.ElimVersion)
@@ -166,6 +143,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "qlint: %s/%s: %s\n", qr.Workload, qr.Query, f)
 			}
 		}
-		fail("%d unexpected findings in generated code", rep.TotalFinds)
+		cli.Fail("%d unexpected findings in generated code", rep.TotalFinds)
 	}
 }

@@ -14,7 +14,9 @@
 // the selected queries on one back-end, executes them with the dispatch-loop
 // sampler attached, and renders the result. With positional arguments it
 // merges previously captured -format json profiles and renders the merge
-// (no execution).
+// (no execution). -engine picks the first matching engine whose code runs
+// on the VM (not the interpreter: it has no VM code to sample). A profile
+// without samples is an error (exit 1), not a rendering.
 //
 // Formats: top (flat per-operator table), json (qcc.prof/v1, qprof's own
 // merge input), pprof (gzipped protobuf for `go tool pprof`), chrome
@@ -35,6 +37,7 @@ import (
 
 	"qcc/internal/backend"
 	"qcc/internal/bench"
+	"qcc/internal/cli"
 	"qcc/internal/codegen"
 	"qcc/internal/obs"
 	"qcc/internal/prof"
@@ -42,61 +45,38 @@ import (
 	"qcc/internal/vt"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qprof: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
-	arch := vt.VX64
-	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
-	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
+	f := cli.Register(flag.CommandLine, cli.Defaults(), cli.Arch|cli.Workload|cli.SF|cli.Mem|cli.Runs|
+		cli.Check|cli.Jobs|cli.NoFuse|cli.Out)
 	query := flag.String("query", "", "profile only this query (default: all queries of the workload)")
 	engine := flag.String("engine", "", "engine name or substring; default: first compiling engine of the arch")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	runs := flag.Int("runs", 1, "execution repetitions (samples accumulate)")
 	period := flag.Int64("period", 0, "sampling period in executed VM instructions (0 = default)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers (1 = sequential)")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion")
-	format := flag.String("format", "top", "output format: top, json, pprof, chrome, or qir")
+	format := cli.ChoiceVar(flag.CommandLine, "format", "output format", "top", "json", "pprof", "chrome", "qir")
 	topN := flag.Int("top", 20, "row limit for -format top/qir")
 	flight := flag.Bool("flight", false, "dump the flight recorder to stderr after the run")
-	out := flag.String("o", "-", "output file (\"-\" for stdout)")
 	flag.Parse()
+	cfg := f.Config()
 
-	switch *format {
-	case "top", "json", "pprof", "chrome", "qir":
-	default:
-		fail("unknown format %q (want top, json, pprof, chrome, or qir)", *format)
-	}
-
-	var dst io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		dst = f
+	dst, err := cli.Create(f.Out)
+	if err != nil {
+		cli.Fail("%v", err)
 	}
 
 	// Merge mode: positional args are qcc.prof/v1 files.
 	if files := flag.Args(); len(files) > 0 {
-		if *format == "qir" {
-			fail("-format qir needs the compiled module; it is capture-only")
+		if format.Value == "qir" {
+			cli.Fail("-format qir needs the compiled module; it is capture-only")
 		}
 		var merged *prof.Profile
 		for _, path := range files {
-			f, err := os.Open(path)
+			in, err := os.Open(path)
 			if err != nil {
-				fail("%v", err)
+				cli.Fail("%v", err)
 			}
-			p, err := prof.ReadJSON(f)
-			f.Close()
+			p, err := prof.ReadJSON(in)
+			in.Close()
 			if err != nil {
-				fail("%s: %v", path, err)
+				cli.Fail("%s: %v", path, err)
 			}
 			if merged == nil {
 				merged = p
@@ -104,53 +84,27 @@ func main() {
 				merged.Merge(p)
 			}
 		}
-		render(dst, merged, nil, *format, *topN)
+		render(dst, merged, nil, format.Value, *topN)
 		return
 	}
 
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Runs = *runs
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.NoFuse = *noFuse
-	cfg.Arch = arch
-
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
-	}
-	if *query != "" {
-		var sel []bench.Query
-		for _, q := range queries {
-			if strings.EqualFold(q.Name, *query) {
-				sel = append(sel, q)
-			}
-		}
-		if len(sel) == 0 {
-			fail("query %q not in %s", *query, *workload)
-		}
-		queries = sel
-	}
-	if *format == "qir" && len(queries) != 1 {
-		fail("-format qir needs a single -query")
-	}
-
-	w, err := bench.NewWorldLoaded(cfg, *workload)
+	queries, err := cli.Queries(f.Workload.Value, *query)
 	if err != nil {
-		fail("load %s: %v", *workload, err)
+		cli.Fail("%v", err)
 	}
-	eng := pickEngine(cfg, *engine, w)
+	if format.Value == "qir" && len(queries) != 1 {
+		cli.Fail("-format qir needs a single -query")
+	}
+
+	eng := pickEngine(cfg.Arch, *engine)
 	if eng == nil {
-		fail("no engine with a VM module matches %q on %s", *engine, cfg.Arch)
+		cli.Fail("no engine with a VM module matches %q on %s", *engine, cfg.Arch)
 	}
 	eng = cfg.WrapEngine(eng, cfg.NewCodeCache())
+	w, err := bench.NewWorldLoaded(cfg, f.Workload.Value)
+	if err != nil {
+		cli.Fail("load %s: %v", f.Workload.Value, err)
+	}
 
 	var merged *prof.Profile
 	var qmodForQIR *codegen.Compiled
@@ -158,11 +112,11 @@ func main() {
 	for _, q := range queries {
 		c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
 		if err != nil {
-			fail("%s: %v", q.Name, err)
+			cli.Fail("%s: %v", q.Name, err)
 		}
 		ex, _, err := eng.Compile(c.Module, &backend.Env{DB: w.DB, Arch: cfg.Arch, Options: cfg.BackendOptions()})
 		if err != nil {
-			fail("%s: %v", q.Name, err)
+			cli.Fail("%s: %v", q.Name, err)
 		}
 		col := prof.NewCollector(c.Module)
 		smp := &vm.Sampler{Period: *period, Hit: col.Hit}
@@ -193,30 +147,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qprof: flight recorder dump:")
 		obs.FlightRec().WriteText(os.Stderr)
 	}
-	render(dst, merged, qmodForQIR, *format, *topN)
+	render(dst, merged, qmodForQIR, format.Value, *topN)
 }
 
-// pickEngine selects the capture back-end: the named one, or the first
-// engine whose executables expose a VM module (samples need PC ranges).
-func pickEngine(cfg bench.Config, name string, w *bench.World) backend.Engine {
-	for _, e := range bench.Engines(cfg.Arch) {
-		if name != "" {
-			if strings.Contains(strings.ToLower(e.Name()), strings.ToLower(name)) {
-				return e
-			}
-			continue
+// pickEngine selects the capture back-end: the first engine matching name
+// whose executables expose a VM module (samples need PC ranges).
+func pickEngine(arch vt.Arch, name string) backend.Engine {
+	engines, _ := cli.Engines(arch, name) // no match leaves none to pick
+	for _, e := range engines {
+		if !strings.Contains(strings.ToLower(e.Name()), "interp") {
+			return e
 		}
-		if strings.Contains(strings.ToLower(e.Name()), "interp") {
-			continue // no vm dispatch to sample
-		}
-		return e
 	}
 	return nil
 }
 
-func render(dst io.Writer, p *prof.Profile, c *codegen.Compiled, format string, topN int) {
-	if p == nil {
-		fail("nothing profiled")
+func render(dst io.WriteCloser, p *prof.Profile, c *codegen.Compiled, format string, topN int) {
+	// An empty capture would render as "100% attributed" (the
+	// AttributionRate of an empty profile), so it is a failure.
+	if p == nil || p.Samples == 0 {
+		cli.Fail("nothing sampled")
 	}
 	var err error
 	switch format {
@@ -231,7 +181,10 @@ func render(dst io.Writer, p *prof.Profile, c *codegen.Compiled, format string, 
 	case "qir":
 		err = p.WriteAnnotated(dst, c.Module, topN)
 	}
+	if err == nil {
+		err = dst.Close()
+	}
 	if err != nil {
-		fail("%v", err)
+		cli.Fail("%v", err)
 	}
 }

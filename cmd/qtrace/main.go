@@ -24,113 +24,41 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
-	"qcc/internal/backend"
 	"qcc/internal/bench"
+	"qcc/internal/cli"
 	"qcc/internal/obs"
-	"qcc/internal/vt"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qtrace: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
-	arch := vt.VX64
-	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
-	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
+	f := cli.Register(flag.CommandLine, cli.Defaults(), cli.Arch|cli.Workload|cli.SF|cli.Mem|cli.Runs|
+		cli.Check|cli.Jobs|cli.CacheMB|cli.NoFuse|cli.Exec|cli.Out)
 	query := flag.String("query", "", "trace only this query (default: all queries of the workload)")
 	engine := flag.String("engine", "all", "engine name or substring (e.g. \"cranelift\", \"llvm cheap\"), or \"all\"")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	runs := flag.Int("runs", 1, "execution repetitions (best-of)")
 	allocs := flag.Bool("allocs", false, "capture per-span heap allocation deltas (slows compilation; off by default)")
-	check := flag.Bool("check", false, "run the machine-code verifier on every compilation (adds Check.* spans)")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers, like qbench/qverify (1 = sequential)")
-	cacheMB := flag.Int("cache-mb", 0, "content-addressed code cache budget in MiB (0 = disabled); hit/miss counts appear in -format prom/json output")
-	noFuse := flag.Bool("nofuse", false, "disable vm superinstruction fusion (plain decoded-switch dispatch)")
-	execJobs := flag.Int("exec-jobs", 1, "morsel-parallel executor workers (1 = sequential)")
-	batchOn := flag.Bool("batch", false, "compile eligible scan pipelines to batch-at-a-time kernels (default on when -exec-jobs > 1)")
-	noBatch := flag.Bool("nobatch", false, "force tuple-at-a-time execution even with -exec-jobs > 1")
-	format := flag.String("format", "chrome", "output format: chrome, prom, or json")
-	out := flag.String("o", "-", "output file (\"-\" for stdout)")
+	format := cli.ChoiceVar(flag.CommandLine, "format", "output format", "chrome", "prom", "json")
 	flag.Parse()
+	cfg := f.Config()
+	workload := f.Workload.Value
 
-	switch *format {
-	case "chrome", "prom", "json":
-	default:
-		fail("unknown format %q (want chrome, prom, or json)", *format)
+	queries, err := cli.Queries(workload, *query)
+	if err != nil {
+		cli.Fail("%v", err)
 	}
-
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Runs = *runs
-	cfg.Check = *check
-	cfg.Jobs = *jobs
-	cfg.CacheMB = *cacheMB
-	cfg.NoFuse = *noFuse
-	cfg.ExecJobs = *execJobs
-	cfg.Batch = *execJobs > 1
-	if *batchOn {
-		cfg.Batch = true
+	pattern := *engine
+	if pattern == "all" {
+		pattern = ""
 	}
-	if *noBatch {
-		cfg.Batch = false
-	}
-	cfg.Arch = arch
-
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
-	}
-	if *query != "" {
-		var sel []bench.Query
-		for _, q := range queries {
-			if strings.EqualFold(q.Name, *query) {
-				sel = append(sel, q)
-			}
-		}
-		if len(sel) == 0 {
-			var names []string
-			for _, q := range queries {
-				names = append(names, q.Name)
-			}
-			fail("query %q not in %s (have: %s)", *query, *workload, strings.Join(names, " "))
-		}
-		queries = sel
-	}
-
-	var engines []backend.Engine
-	for _, e := range bench.Engines(cfg.Arch) {
-		if *engine == "all" || strings.Contains(strings.ToLower(e.Name()), strings.ToLower(*engine)) {
-			// WrapEngine applies -jobs (parallel driver) and the code
-			// cache, so traces cover the same configurations CI runs.
-			engines = append(engines, cfg.WrapEngine(e, cfg.NewCodeCache()))
-		}
-	}
-	if len(engines) == 0 {
-		fail("no engine matches %q", *engine)
+	engines, err := cli.Engines(cfg.Arch, pattern)
+	if err != nil {
+		cli.Fail("%v", err)
 	}
 
 	// Open the destination before the capture so a bad path fails fast.
-	var dst io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		dst = f
+	dst, err := cli.Create(f.Out)
+	if err != nil {
+		cli.Fail("%v", err)
 	}
 
 	// Trace: one tracer (hence one Chrome-trace process) per engine, each
@@ -138,17 +66,20 @@ func main() {
 	var traces []*obs.Trace
 	report := &obs.Report{
 		Schema: obs.Schema, Arch: cfg.Arch.String(),
-		Workload: *workload, SF: cfg.SF, Jobs: *jobs, Engines: []obs.EngineReport{},
+		Workload: workload, SF: cfg.SF, Jobs: cfg.Jobs, Engines: []obs.EngineReport{},
 	}
 	for _, eng := range engines {
-		w, err := bench.NewWorldLoaded(cfg, *workload)
+		// WrapEngine applies -jobs (parallel driver) and the code cache, so
+		// traces cover the same configurations CI runs.
+		eng := cfg.WrapEngine(eng, cfg.NewCodeCache())
+		w, err := bench.NewWorldLoaded(cfg, workload)
 		if err != nil {
-			fail("load %s: %v", *workload, err)
+			cli.Fail("load %s: %v", workload, err)
 		}
 		tr := obs.New(obs.Options{Allocs: *allocs})
 		run, err := bench.RunSuiteExec(w, eng, cfg.Arch, queries, cfg.Runs, tr, cfg.BackendOptions(), cfg.ExecSettings())
 		if err != nil {
-			fail("%v", err)
+			cli.Fail("%v", err)
 		}
 		traces = append(traces, tr.Snapshot(eng.Name()))
 		report.Engines = append(report.Engines, bench.EngineReportOf(run))
@@ -161,28 +92,29 @@ func main() {
 	}
 	report.Global = obs.GlobalCounters()
 
-	switch *format {
+	switch format.Value {
 	case "chrome":
 		if err := obs.WriteChrome(dst, traces...); err != nil {
-			fail("%v", err)
+			cli.Fail("%v", err)
 		}
 	case "prom":
-		labels := map[string]string{"arch": cfg.Arch.String(), "workload": *workload}
+		labels := map[string]string{"arch": cfg.Arch.String(), "workload": workload}
 		for _, tr := range traces {
 			if err := tr.WritePrometheus(dst, labels); err != nil {
-				fail("%v", err)
+				cli.Fail("%v", err)
 			}
 		}
 		// Process-wide counters (pcc code-cache hits/misses, tier
 		// promotions, ...) are not scoped to any tracer; export them once.
 		if err := obs.WriteGlobalPrometheus(dst, labels); err != nil {
-			fail("%v", err)
+			cli.Fail("%v", err)
 		}
 	case "json":
 		if err := report.Write(dst); err != nil {
-			fail("%v", err)
+			cli.Fail("%v", err)
 		}
-	default:
-		fail("unknown format %q (want chrome, prom, or json)", *format)
+	}
+	if err := dst.Close(); err != nil {
+		cli.Fail("%v", err)
 	}
 }

@@ -30,40 +30,22 @@ import (
 	"qcc/internal/backend/clift"
 	"qcc/internal/backend/direct"
 	"qcc/internal/backend/lbe"
-	"qcc/internal/backend/pcc"
 	"qcc/internal/bench"
+	"qcc/internal/cli"
 	"qcc/internal/codegen"
 	"qcc/internal/mcv"
 	"qcc/internal/vt"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qverify: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
-	arch := vt.VX64
-	flag.Var(&arch, "arch", "target architecture: vx64 (default) or va64")
-	workload := flag.String("workload", "tpch", "workload (tpch or tpcds)")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	mem := flag.Int("mem", 512, "VM memory in MiB")
-	jobs := flag.Int("jobs", 1, "parallel compilation workers for the checked compiles")
+	f := cli.Register(flag.CommandLine, cli.Defaults(), cli.Arch|cli.Workload|cli.SF|cli.Mem|cli.Jobs)
 	flag.Parse()
+	cfg := f.Config()
+	workload := f.Workload.Value
 
-	cfg := bench.DefaultConfig()
-	cfg.SF = *sf
-	cfg.MemMB = *mem
-	cfg.Arch = arch
-
-	var queries []bench.Query
-	switch *workload {
-	case "tpch":
-		queries = bench.HQueries()
-	case "tpcds":
-		queries = bench.DSQueries()
-	default:
-		fail("unknown workload %q", *workload)
+	queries, err := cli.Queries(workload, "")
+	if err != nil {
+		cli.Fail("%v", err)
 	}
 
 	engines := map[string]backend.Engine{
@@ -74,10 +56,8 @@ func main() {
 	if cfg.Arch == vt.VX64 {
 		engines["direct"] = direct.New()
 	}
-	if *jobs > 1 {
-		for n, e := range engines {
-			engines[n] = pcc.Wrap(e, pcc.Config{Jobs: *jobs})
-		}
+	for n, e := range engines {
+		engines[n] = cfg.WrapEngine(e, nil)
 	}
 	names := make([]string, 0, len(engines))
 	for n := range engines {
@@ -87,52 +67,52 @@ func main() {
 
 	// Stage 1: QIR verification of every query module, plus the static
 	// analyzer's lint — generated code must produce zero findings.
-	w, err := bench.NewWorldLoaded(cfg, *workload)
+	w, err := bench.NewWorldLoaded(cfg, workload)
 	if err != nil {
-		fail("load %s: %v", *workload, err)
+		cli.Fail("load %s: %v", workload, err)
 	}
 	uncheckedQIR := map[string]int{}
 	for _, q := range queries {
 		c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
 		if err != nil {
-			fail("codegen %s: %v", q.Name, err)
+			cli.Fail("codegen %s: %v", q.Name, err)
 		}
 		if err := c.Module.VerifyModule(); err != nil {
-			fail("qir %s: %v", q.Name, err)
+			cli.Fail("qir %s: %v", q.Name, err)
 		}
 		if n := len(c.Elim.Findings); n > 0 {
 			for _, f := range c.Elim.Findings {
 				fmt.Fprintf(os.Stderr, "qverify: sa %s: %s\n", q.Name, f)
 			}
-			fail("sa %s: %d lint findings in generated code", q.Name, n)
+			cli.Fail("sa %s: %d lint findings in generated code", q.Name, n)
 		}
 		for _, f := range c.Module.Funcs {
 			uncheckedQIR[q.Name] += codegen.UncheckedCount(f)
 		}
 	}
-	fmt.Printf("qverify: qir: %d %s modules verified, sa lint clean (%s)\n", len(queries), *workload, cfg.Arch)
+	fmt.Printf("qverify: qir: %d %s modules verified, sa lint clean (%s)\n", len(queries), workload, cfg.Arch)
 
 	// Stage 2: checked compiles, collecting per-function summaries.
 	sums := map[string]map[string][]mcv.FuncSummary{}
 	for _, ename := range names {
 		// A fresh world per engine so compiled code and heap layout do not
 		// leak between back-ends.
-		w, err := bench.NewWorldLoaded(cfg, *workload)
+		w, err := bench.NewWorldLoaded(cfg, workload)
 		if err != nil {
-			fail("load %s: %v", *workload, err)
+			cli.Fail("load %s: %v", workload, err)
 		}
 		sums[ename] = map[string][]mcv.FuncSummary{}
 		for _, q := range queries {
 			c, err := codegen.Compile(q.Name, q.Build(), w.Cat)
 			if err != nil {
-				fail("codegen %s: %v", q.Name, err)
+				cli.Fail("codegen %s: %v", q.Name, err)
 			}
 			_, stats, err := engines[ename].Compile(c.Module, &backend.Env{
 				DB: w.DB, Arch: cfg.Arch,
 				Options: backend.Options{Check: true},
 			})
 			if err != nil {
-				fail("%s/%s: %v", ename, q.Name, err)
+				cli.Fail("%s/%s: %v", ename, q.Name, err)
 			}
 			sums[ename][q.Name] = stats.Summaries
 			if d := mcv.UncheckedConservation(ename, uncheckedQIR[q.Name], stats.Summaries); len(d) > 0 {

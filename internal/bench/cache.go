@@ -23,10 +23,10 @@ const CacheSchema = "qcc.bench.cache/v1"
 // hoisting every variant of a family shares one parameterized body, so the
 // warm stream should hit the code cache on (nearly) every function.
 const (
-	cacheVariants        = 8    // distinct constant settings per family
-	cacheEventsPerFamily = 24   // warm replay length per family
-	cacheZipfS           = 1.1  // skew: variant rank r has weight (r+1)^-s
-	cacheDefaultMB       = 64   // cache budget when cfg.CacheMB is unset
+	cacheVariants        = 8   // distinct constant settings per family
+	cacheEventsPerFamily = 24  // warm replay length per family
+	cacheZipfS           = 1.1 // skew: variant rank r has weight (r+1)^-s
+	cacheDefaultMB       = 64  // cache budget when cfg.CacheMB is unset
 )
 
 // CacheFamily is one parameterized query family's measurements on one
@@ -80,14 +80,14 @@ type CacheEngine struct {
 
 // CacheReport is the full plan-cache experiment (BENCH_cache.json).
 type CacheReport struct {
-	Schema   string  `json:"schema"`
-	Arch     string  `json:"arch"`
-	SF       float64 `json:"sf"`
-	Runs     int     `json:"runs"`
-	Families int     `json:"families"`
-	Variants int     `json:"variants_per_family"`
-	Events   int     `json:"events_per_engine"`
-	CacheMB  int     `json:"cache_mb"`
+	Schema   string        `json:"schema"`
+	Arch     string        `json:"arch"`
+	SF       float64       `json:"sf"`
+	Runs     int           `json:"runs"`
+	Families int           `json:"families"`
+	Variants int           `json:"variants_per_family"`
+	Events   int           `json:"events_per_engine"`
+	CacheMB  int           `json:"cache_mb"`
 	Engines  []CacheEngine `json:"engines"`
 	// Pooled over engines.
 	HitRate          float64 `json:"hit_rate"`

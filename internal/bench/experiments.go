@@ -50,7 +50,7 @@ func loadH(cfg Config, sf float64) (*World, error) {
 }
 
 // NewWorldLoaded creates a world with the named workload ("tpch" or
-// "tpcds") loaded at cfg.SF (exported for cmd/qtrace).
+// "tpcds") loaded at cfg.SF (exported for the cmd/* tools).
 func NewWorldLoaded(cfg Config, workload string) (*World, error) {
 	switch workload {
 	case "tpch":
